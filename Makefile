@@ -44,9 +44,10 @@ obs-smoke:
 # (serve includes the snapshot/restore map-oracle suite; net runs
 # concurrent clients against the server with compactions and a
 # snapshot racing the traffic; obs scrapes a registry while recorders
-# hammer it; repl streams a primary into followers killed mid-flight).
+# hammer it; repl streams a primary into followers killed mid-flight;
+# binio holds the frame codec every connection shares).
 race:
-	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/
+	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/binio/
 
 # serve prints the serving-layer experiment at a quick scale.
 serve:

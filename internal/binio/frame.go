@@ -22,21 +22,22 @@ import (
 // u32 length prefix plus the u64 CRC trailer.
 const frameOverhead = 4 + 8
 
-// WriteFramed writes body to w as one framed message. The body bytes
-// are written exactly once; the checksum is computed here, so callers
-// hand over raw encoded bytes and nothing else.
+// AppendFrame appends body to dst as one framed message (length
+// prefix, body, CRC64 trailer) and returns the extended slice. It is
+// the single encoder of the envelope: callers that batch several
+// frames into one write append them to the same buffer.
+func AppendFrame(dst, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = append(dst, body...)
+	return binary.LittleEndian.AppendUint64(dst, crc64.Checksum(body, CRCTable))
+}
+
+// WriteFramed writes body to w as one framed message in a single Write
+// call, so a frame never reaches a socket as several segments and
+// costs one syscall, not three. The checksum is computed here, so
+// callers hand over raw encoded bytes and nothing else.
 func WriteFramed(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], crc64.Checksum(body, CRCTable))
-	_, err := w.Write(tail[:])
+	_, err := w.Write(AppendFrame(make([]byte, 0, frameOverhead+len(body)), body))
 	return err
 }
 

@@ -2,7 +2,9 @@ package binio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
 	"io"
 	"testing"
 )
@@ -73,6 +75,74 @@ func TestFramedCorruption(t *testing.T) {
 			}
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d: got %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
+// writeFramedThreeWrites is the historical frame writer — length,
+// body and CRC as three separate writes — kept as the reference the
+// single-buffer encoder must match byte for byte.
+func writeFramedThreeWrites(w io.Writer, body []byte) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
+	w.Write(hdr[:])
+	w.Write(body)
+	var tail [8]byte
+	binary.LittleEndian.PutUint64(tail[:], crc64.Checksum(body, CRCTable))
+	w.Write(tail[:])
+}
+
+// TestAppendFrameMatchesThreeWrites pins the wire bytes: one assembled
+// frame is identical to the three-write stream for an empty body, a
+// small one, and one at the network layer's 1 MiB body limit, so the
+// checked-in fuzz corpora stay valid.
+func TestAppendFrameMatchesThreeWrites(t *testing.T) {
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 31)
+	}
+	for _, body := range [][]byte{{}, []byte("the quick brown fox"), big} {
+		var want bytes.Buffer
+		writeFramedThreeWrites(&want, body)
+		prefix := []byte("earlier frames")
+		got := AppendFrame(append([]byte(nil), prefix...), body)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("%d-byte body: AppendFrame diverges from the three-write stream", len(body))
+		}
+		var w countingWriter
+		if err := WriteFramed(&w, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.buf.Bytes(), want.Bytes()) {
+			t.Fatalf("%d-byte body: WriteFramed diverges from the three-write stream", len(body))
+		}
+	}
+}
+
+// countingWriter records every Write call it receives.
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestWriteFramedSingleWrite checks that a frame reaches its writer in
+// exactly one Write call — one syscall per frame on a socket.
+func TestWriteFramedSingleWrite(t *testing.T) {
+	for _, n := range []int{0, 1, 4096} {
+		var w countingWriter
+		if err := WriteFramed(&w, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Fatalf("%d-byte body: WriteFramed made %d writes, want 1", n, w.writes)
+		}
+		if w.buf.Len() != n+frameOverhead {
+			t.Fatalf("%d-byte body: wrote %d bytes, want %d", n, w.buf.Len(), n+frameOverhead)
 		}
 	}
 }

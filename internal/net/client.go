@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -51,8 +52,18 @@ var ErrClosed = errors.New("net: client closed")
 type Client struct {
 	addr string // redial target ("" disables reconnection)
 
-	wmu  sync.Mutex // serializes frame writes
-	wbuf bytes.Buffer
+	// Write combining: concurrent calls append their frames to wpend,
+	// and whichever caller finds no flush running writes everything
+	// pending, in a loop, one Write per round. Pending frames belong to
+	// connection generation wepoch on wnc; frames for an older
+	// generation are dropped, never written to a newer connection.
+	wmu      sync.Mutex // guards the w* fields; taken before mu, never after
+	wenc     bytes.Buffer
+	wpend    []byte
+	wspare   []byte // the buffer the last flush round wrote, reused as the next wpend
+	wepoch   uint64
+	wnc      net.Conn
+	flushing bool
 
 	mu            sync.Mutex
 	nc            net.Conn
@@ -185,9 +196,10 @@ func (c *Client) probe() {
 // stale connection's responses can never match a newer call.
 func (c *Client) reader(nc net.Conn, epoch uint64, done chan struct{}) {
 	defer close(done)
+	br := bufio.NewReader(nc)
 	var scratch []byte
 	for {
-		m, sc, err := readMsg(nc, scratch)
+		m, sc, err := readMsg(br, scratch)
 		if err != nil {
 			c.failConn(epoch, fmt.Errorf("net: connection lost: %w", err))
 			return
@@ -222,11 +234,10 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 	epoch := c.epoch
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	err := writeMsg(nc, &c.wbuf, m)
-	c.wmu.Unlock()
-	if err != nil {
-		c.failConn(epoch, fmt.Errorf("net: write failed: %w", err))
+	if err := c.send(nc, epoch, m); err != nil {
+		c.mu.Lock()
+		delete(c.waiters, m.ID)
+		c.mu.Unlock()
 		return nil, err
 	}
 
@@ -249,6 +260,47 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 		return nil, fmt.Errorf("net: server: %s", resp.Err)
 	}
 	return resp, nil
+}
+
+// send queues m's frame for connection generation epoch on nc and, if
+// no other caller is flushing, writes every pending frame itself. A
+// frame for a generation the client has already replaced is dropped:
+// failConn failed that generation's waiters before any redial. A write
+// error fails the generation; the waiters of its unwritten frames are
+// failed with it, so send itself reports only encoding errors.
+func (c *Client) send(nc net.Conn, epoch uint64, m *Msg) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if epoch < c.wepoch {
+		return nil
+	}
+	if epoch > c.wepoch {
+		c.wpend, c.wepoch, c.wnc = c.wpend[:0], epoch, nc
+	}
+	var err error
+	if c.wpend, err = appendMsg(c.wpend, &c.wenc, m); err != nil {
+		return err
+	}
+	if c.flushing {
+		return nil // the running flush writes this frame in its next round
+	}
+	c.flushing = true
+	for len(c.wpend) > 0 {
+		buf, wnc, wepoch := c.wpend, c.wnc, c.wepoch
+		c.wpend = c.wspare[:0]
+		c.wmu.Unlock()
+		_, werr := wnc.Write(buf)
+		if werr != nil {
+			c.failConn(wepoch, fmt.Errorf("net: write failed: %w", werr))
+		}
+		c.wmu.Lock()
+		c.wspare = buf[:0]
+		if werr != nil && c.wepoch == wepoch {
+			c.wpend = c.wpend[:0] // their waiters just failed with the connection
+		}
+	}
+	c.flushing = false
+	return nil
 }
 
 // Get returns the live payload for key, or found=false when absent.

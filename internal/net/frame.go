@@ -115,8 +115,8 @@ type Msg struct {
 	Type   uint8
 	ID     uint64
 	Key    core.Key
-	Val    uint64 // MsgPut value; MsgSnapFile byte offset
-	Found  bool   // MsgValue found bit; MsgSnapFile last-chunk bit
+	Val    uint64     // MsgPut value; MsgSnapFile byte offset
+	Found  bool       // MsgValue found bit; MsgSnapFile last-chunk bit
 	Keys   []core.Key // MsgGetBatch; MsgTopoReply separators
 	Vals   []uint64   // MsgValueBatch
 	FoundN uint32     // MsgValueBatch: number of keys found
@@ -598,8 +598,21 @@ func decodeMsg(body []byte) (*Msg, error) {
 	return m, nil
 }
 
-// writeMsg encodes m and writes it as one framed message, using buf as
-// the encode scratch. Callers serialize access to (w, buf).
+// appendMsg encodes m (using enc as the body scratch) and appends it to
+// dst as one framed message — the building block of every batched
+// write: a connection appends each ready frame to one buffer and hands
+// the buffer to a single Write.
+func appendMsg(dst []byte, enc *bytes.Buffer, m *Msg) ([]byte, error) {
+	body, err := encodeMsg(enc, m)
+	if err != nil {
+		return dst, err
+	}
+	return binio.AppendFrame(dst, body), nil
+}
+
+// writeMsg encodes m and writes it as one framed message in a single
+// Write, using buf as the encode scratch. Callers serialize access to
+// (w, buf).
 func writeMsg(w io.Writer, buf *bytes.Buffer, m *Msg) error {
 	body, err := encodeMsg(buf, m)
 	if err != nil {
@@ -622,17 +635,21 @@ func readMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
 	return m, scratch, err
 }
 
-// WriteMsg encodes m and writes it as one framed message, using buf as
-// the encode scratch. Callers serialize access to (w, buf). Exported
-// for the replication subsystem, whose streaming connections speak the
-// same frame protocol outside the Server's request/response loop.
+// WriteMsg encodes m and writes it as one framed message in a single
+// Write, using buf as the encode scratch. Callers serialize access to
+// (w, buf). Exported for the replication subsystem, whose streaming
+// connections speak the same frame protocol outside the Server's
+// request/response loop.
 func WriteMsg(w io.Writer, buf *bytes.Buffer, m *Msg) error {
 	return writeMsg(w, buf, m)
 }
 
 // ReadMsg reads and decodes one framed message, reusing scratch; it
 // returns the (possibly grown) scratch for the next call. The exported
-// face of readMsg (see WriteMsg).
+// face of readMsg (see WriteMsg). Wrap a connection in one
+// bufio.Reader and pass that same reader to every ReadMsg on it: a
+// second reader, or the bare connection, would miss bytes the first
+// one already buffered.
 func ReadMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
 	return readMsg(r, scratch)
 }

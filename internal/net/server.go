@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"sync"
@@ -20,6 +21,12 @@ const (
 	DefaultMaxPending     = 4096
 	DefaultMaxConns       = 1024
 	defaultOutBuffer      = 1024
+
+	// flushCap bounds the bytes a connection's writer gathers before it
+	// writes: room for hundreds of point responses per Write, while the
+	// first response of a long burst is not held back behind the
+	// encoding of the whole queue.
+	flushCap = 64 << 10
 )
 
 // Config configures a Server.
@@ -465,9 +472,10 @@ func (c *srvConn) run() {
 		c.writer()
 	}()
 
+	br := bufio.NewReader(c.nc)
 	var scratch []byte
 	for {
-		m, sc, err := readMsg(c.nc, scratch)
+		m, sc, err := readMsg(br, scratch)
 		if err != nil {
 			break // EOF, severed, or corrupt frame: the stream is over
 		}
@@ -483,17 +491,37 @@ func (c *srvConn) run() {
 	c.s.connCount.Add(-1)
 }
 
+// writer drains the response queue with one Write per wakeup: it takes
+// the first ready response, then every response already queued behind
+// it (up to flushCap bytes), and writes them all at once. It never
+// waits for more, so a lone response goes out as soon as it is queued.
 func (c *srvConn) writer() {
-	var buf bytes.Buffer
+	var enc bytes.Buffer
+	var out []byte
 	for {
+		var m *Msg
 		select {
 		case <-c.done:
 			return
-		case m := <-c.outC:
-			if err := writeMsg(c.nc, &buf, m); err != nil {
-				c.teardown()
-				return
+		case m = <-c.outC:
+		}
+		var err error
+		out, err = appendMsg(out[:0], &enc, m)
+	drain:
+		for err == nil && len(out) < flushCap {
+			select {
+			case m = <-c.outC:
+				out, err = appendMsg(out, &enc, m)
+			default:
+				break drain
 			}
+		}
+		if err == nil {
+			_, err = c.nc.Write(out)
+		}
+		if err != nil {
+			c.teardown()
+			return
 		}
 	}
 }

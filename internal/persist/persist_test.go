@@ -303,7 +303,7 @@ func TestManifestRejectsTraversalAndDisorder(t *testing.T) {
 			{Sep: 5, WAL: "w", Runs: runs(RunMeta{Table: "t"})},
 			{Sep: 5, WAL: "w2", Runs: runs(RunMeta{Table: "t2"})}}},
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: ""})}}},
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}},                                                // no runs
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}},                                               // no runs
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t", Tombs: "tm"})}}}, // tombed base
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t"}, RunMeta{Table: "t2", Tombs: "..\\tm"})}}},
 	}

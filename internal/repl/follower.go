@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -66,8 +67,8 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 
 // Follower subscribes to a primary and maintains a read-only replica
 // store: bootstrap from a shipped snapshot when its position is
-// unknown, then apply the live stream, acking every batch on receipt
-// (so applied <= acked <= streamed holds by construction) and
+// unknown, then apply the live stream, acking every batch once it is
+// applied (so applied <= acked <= streamed holds by construction) and
 // committing its durable position only after its own WAL is synced.
 // It survives being killed at any point — a restart resumes from
 // REPLSTATE, and a primary that cannot serve that position re-ships a
@@ -367,11 +368,12 @@ func (f *Follower) session(nc stdnet.Conn) {
 		return
 	}
 
+	br := bufio.NewReader(nc)
 	var scratch []byte
 	var boot *bootstrapRx
 	sinceSync := 0
 	for {
-		m, sc, err := net.ReadMsg(nc, scratch)
+		m, sc, err := net.ReadMsg(br, scratch)
 		if err != nil {
 			return
 		}
@@ -450,9 +452,18 @@ func (f *Follower) session(nc stdnet.Conn) {
 					ops = ops[skip:]
 				}
 			}
-			// Ack on receipt, before the apply: acked may lead applied,
-			// never trail it — applied <= acked <= streamed.
+			// Count receipt first, then apply, then claim and ack the
+			// new position: the applied vector never names an op Apply
+			// has not returned from, so neither an ack nor REPLSTATE
+			// (syncState on Stop, even after a failed ack) can over-claim,
+			// and applied <= acked <= streamed holds throughout.
 			f.ackedOps.Add(uint64(len(m.Ops)))
+			if len(ops) > 0 {
+				if err := st.Apply(int(m.Shard), ops); err != nil {
+					return
+				}
+				f.appliedOps.Add(uint64(len(ops)))
+			}
 			f.mu.Lock()
 			if end := m.Seq + uint64(len(m.Ops)) - 1; end > f.applied[m.Shard] {
 				f.applied[m.Shard] = end
@@ -460,12 +471,6 @@ func (f *Follower) session(nc stdnet.Conn) {
 			f.mu.Unlock()
 			if err := f.sendAck(nc, &wbuf); err != nil {
 				return
-			}
-			if len(ops) > 0 {
-				if err := st.Apply(int(m.Shard), ops); err != nil {
-					return
-				}
-				f.appliedOps.Add(uint64(len(ops)))
 			}
 			if sinceSync++; sinceSync >= f.cfg.SyncEvery {
 				sinceSync = 0

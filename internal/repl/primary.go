@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -286,7 +287,11 @@ func (s *session) serve() {
 	}()
 
 	var wbuf bytes.Buffer
-	sub, _, err := net.ReadMsg(s.nc, nil)
+	// One buffered reader for the connection's whole life: a follower
+	// may send its first ack in the same segment as the subscribe, and
+	// those bytes must reach ackLoop, not die in a discarded buffer.
+	br := bufio.NewReader(s.nc)
+	sub, _, err := net.ReadMsg(br, nil)
 	if err != nil || sub.Type != net.MsgSubscribe {
 		return
 	}
@@ -325,11 +330,13 @@ func (s *session) serve() {
 	}
 
 	// Acks flow back on their own goroutine; the stream loop below is
-	// the connection's only writer.
+	// the connection's only writer. A follower that stops acking
+	// properly (closed, or a non-ack frame) ends the session.
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		s.ackLoop()
+		defer s.teardown()
+		s.ackLoop(br)
 	}()
 
 	s.stream(&wbuf)
@@ -488,11 +495,11 @@ func (s *session) stream(wbuf *bytes.Buffer) {
 
 // ackLoop consumes the follower's ack frames, credits the acked-op
 // accounting (never past what was streamed), and wakes WaitAcked.
-func (s *session) ackLoop() {
+func (s *session) ackLoop(br *bufio.Reader) {
 	p := s.p
 	var scratch []byte
 	for {
-		m, sc, err := net.ReadMsg(s.nc, scratch)
+		m, sc, err := net.ReadMsg(br, scratch)
 		if err != nil {
 			return
 		}

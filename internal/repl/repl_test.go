@@ -1,7 +1,10 @@
 package repl
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
+	stdnet "net"
 	"os"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/load"
+	"repro/internal/net"
 	"repro/internal/persist"
 	"repro/internal/serve"
 )
@@ -387,5 +391,52 @@ func TestPromotion(t *testing.T) {
 	}
 	if v, ok := rst.Get(keys[199]); !ok || v != 199+7e9 {
 		t.Fatalf("replicated key after promotion: %d,%v", v, ok)
+	}
+}
+
+// TestPrimaryReadsSubscribeAndAckFromOneSegment has a follower send its
+// subscribe, its first ack and a trailing non-ack frame in a single
+// write, so all three arrive in one segment. The session must read them
+// in order through one buffered reader: the trailing frame ends the
+// session, which only happens if the ack loop saw the bytes the
+// subscribe read pulled in with it.
+func TestPrimaryReadsSubscribeAndAckFromOneSegment(t *testing.T) {
+	keys, payloads := testKeys(t, 2000)
+	st, log, p := testPrimary(t, keys, payloads, 2)
+	defer st.Close()
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		st.Put(keys[i], uint64(i))
+	}
+
+	nc, err := stdnet.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	pos := log.Seqs()
+	var seg, enc bytes.Buffer
+	for _, m := range []*net.Msg{
+		{Type: net.MsgSubscribe, Epoch: p.Epoch(), Seqs: pos},
+		{Type: net.MsgAck, Seqs: pos},
+		{Type: net.MsgHeartbeat, Epoch: p.Epoch(), Seqs: pos}, // not an ack: ends the session
+	} {
+		if err := net.WriteMsg(&seg, &enc, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := nc.Write(seg.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// The primary streams heartbeats until the session ends; a session
+	// whose ack loop missed the buffered frames would stream forever.
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, nc); err != nil {
+		t.Fatalf("session did not end on the buffered frames: %v", err)
+	}
+	if n := p.Stats().Bootstraps; n != 0 {
+		t.Fatalf("subscribe at the tip bootstrapped (%d)", n)
 	}
 }
