@@ -34,9 +34,11 @@
 //
 // The server runs until SIGINT/SIGTERM, then shuts down gracefully and
 // prints its final stats (accepted, shed, coalescing, latency tail) to
-// stderr. The coalescer's pacing pins service capacity at
-// batchcap/window lookups per second; requests past that are refused
-// with RetryLater rather than queued without bound.
+// stderr. By default the coalescer is self-clocked: each round takes
+// every point lookup already queued. A nonzero -window paces rounds to
+// one per window, pinning service capacity at batchcap/window lookups
+// per second. Either way, requests past -maxpending are refused with
+// RetryLater rather than queued without bound.
 package main
 
 import (
@@ -63,7 +65,7 @@ func main() {
 	seed := flag.Uint64("seed", bench.DefaultSeed, "dataset seed")
 	family := flag.String("family", "PGM", "index family for the store's shards")
 	shards := flag.Int("shards", 4, "shard count")
-	window := flag.Duration("window", net.DefaultCoalesceWindow, "coalescing window (pins capacity with -batchcap)")
+	window := flag.Duration("window", 0, "coalescing window: 0 = self-clocked; >0 pins capacity at batchcap/window")
 	batchCap := flag.Int("batchcap", net.DefaultBatchCap, "max point lookups coalesced into one store batch")
 	maxPending := flag.Int("maxpending", net.DefaultMaxPending, "admission limit on in-flight requests; excess is shed")
 	maxConns := flag.Int("maxconns", net.DefaultMaxConns, "connection limit; excess accepts are refused")
@@ -186,7 +188,10 @@ func main() {
 	// the dataset, the config ID the built index (family + tuned
 	// parameters), and the policy triple the compaction behaviour.
 	threshold, maxRuns, ampBound := st.Policy()
-	capacity := float64(*batchCap) / window.Seconds()
+	capacity := "self-clocked"
+	if *window > 0 {
+		capacity = fmt.Sprintf("%.0f/s", float64(*batchCap)/window.Seconds())
+	}
 	role := "standalone"
 	switch {
 	case pri != nil:
@@ -197,7 +202,7 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"sosdserve up addr=%s role=%s dataset=%s n=%d seed=%d checksum=%016x config=%s shards=%d "+
 			"policy=threshold:%d,maxruns:%d,ampbound:%g "+
-			"window=%v batchcap=%d capacity=%.0f/s admission=%d conns=%d admin=%s trace=1/%d\n",
+			"window=%v batchcap=%d capacity=%s admission=%d conns=%d admin=%s trace=1/%d\n",
 		srv.Addr(), role, *dsName, *n, *seed, checksum, st.ConfigIDs()[0], st.NumShards(),
 		threshold, maxRuns, ampBound,
 		*window, *batchCap, capacity, *maxPending, *maxConns, adminURL(admin), *traceEvery)

@@ -7,14 +7,15 @@ package bench
 // R times the goodput by construction, and the experiment verifies the
 // machine actually delivers it (>= 1.7x at two replicas is enforced,
 // not just reported). Every row also enforces the stream's
-// conservation laws (applied <= acked <= streamed, router served+shed
-// == offered). The second table kills the primary under the router and
-// measures the detect -> promote -> first-write-served timeline. See
-// DESIGN.md "Replication".
+// conservation laws (applied == acked == streamed once settled, router
+// served+shed == offered). The second table kills the primary under the
+// router and measures the detect -> promote -> first-write-served
+// timeline. See DESIGN.md "Replication".
 
 import (
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -33,11 +34,13 @@ func init() {
 // Topology parameters. The per-server read capacity is pinned exactly
 // as in serve-net (netBatchCap keys per netWindow); 12 shards divide
 // evenly across 1, 2, and 3 replicas so every node serves an equal
-// key range.
+// key range. The read phase runs at least replMinRun at the
+// topology's pinned capacity, so start-up and the idle servers' first
+// rounds stay a small share of it.
 const (
 	replShards   = 12
 	replWriteOps = 4000
-	replWorkers  = 96
+	replMinRun   = 600 * netWindow
 )
 
 // replReplicaCounts are the topology sizes of the goodput sweep.
@@ -62,8 +65,8 @@ func serveReplSweep(r *Run) ([]report.Table, error) {
 	capacity := netCapacity()
 
 	t := report.New("serve-repl",
-		fmt.Sprintf("Replicated serving (amzn, loopback, %d shards, %.0f lookups/s pinned per server, %d streamed writes, %d ops/run)",
-			replShards, capacity, replWriteOps, ops)).
+		fmt.Sprintf("Replicated serving (amzn, loopback, %d shards, %.0f lookups/s pinned per server, %d streamed writes, %d closed-loop workers per replica, >= %d ops and >= %v at capacity)",
+			replShards, capacity, replWriteOps, netMaxPending, ops, replMinRun)).
 		Dims("replicas").
 		Float("boot", "ms", 1).
 		Float("snap", "MB", 2).
@@ -74,7 +77,7 @@ func serveReplSweep(r *Run) ([]report.Table, error) {
 		Float("speedup", "x", 2).
 		Float("p99", "µs", 1).
 		Notef("boot is the slowest follower's snapshot-bootstrap-to-ready time; snap is total shipped snapshot bytes").
-		Notef("laws enforced per row: applied <= acked <= streamed (exact equality after settle), router served+shed == offered").
+		Notef("laws enforced per row: after settle each follower's applied == acked, and followers' acked == primary acked == streamed; router served+shed == offered").
 		Notef("speedup is goodput vs the 1-replica row; >= 1.7x at 2 replicas is enforced, not just reported")
 
 	ft := report.New("serve-repl",
@@ -99,6 +102,24 @@ func serveReplSweep(r *Run) ([]report.Table, error) {
 		}
 	}
 	return []report.Table{*t, *ft}, nil
+}
+
+// replReadStream builds n point reads in which op i reads a key of
+// replica i mod replicas, as the router assigns keys to replicas.
+func replReadStream(router *repl.Router, keys []core.Key, replicas, n int, seed uint64) []load.Op {
+	parts := make([][]load.Op, replicas)
+	for k := range parts {
+		// NodeOf never decreases with the key, so replica k's keys are
+		// one contiguous block.
+		lo := sort.Search(len(keys), func(i int) bool { return router.NodeOf(keys[i]) >= k })
+		hi := sort.Search(len(keys), func(i int) bool { return router.NodeOf(keys[i]) > k })
+		parts[k] = load.MixedOps(keys[lo:hi], n/replicas+1, 1, 0, seed+uint64(k))
+	}
+	stream := make([]load.Op, n)
+	for i := range stream {
+		stream[i] = parts[i%replicas][i/replicas]
+	}
+	return stream
 }
 
 // runReplTopology measures one replica count and appends its row
@@ -175,7 +196,9 @@ func runReplTopology(r *Run, e *Env, replicas, ops int, base float64, t, ft *rep
 	}
 
 	// Write burst through the primary store: every op enters the
-	// stream; then settle so the laws can be checked at a fixed point.
+	// stream; then settle so the laws can be checked at a fixed point
+	// and the read phase does not share the CPU with the compactions
+	// the burst queued on every node.
 	writes := load.MixedOps(e.Keys, replWriteOps, 0, 0, o.Seed+uint64(replicas))
 	for _, op := range writes {
 		st.Put(op.Key, uint64(op.Key)^0xbeef)
@@ -189,32 +212,46 @@ func runReplTopology(r *Run, e *Env, replicas, ops int, base float64, t, ft *rep
 	if err := pri.WaitAcked(60 * time.Second); err != nil {
 		return 0, err
 	}
+	st.WaitCompactions()
+	for _, n := range nodes {
+		n.f.Store().WaitCompactions()
+	}
 
+	// Settled, the stream's counters agree exactly: every follower
+	// applied all it acked, and the primary streamed and saw acked
+	// exactly the followers' total.
 	ps := pri.Stats()
 	var applied, acked uint64
 	for _, n := range nodes {
 		fs := n.f.Stats()
-		applied += fs.AppliedOps
-		if fs.AppliedOps > fs.AckedOps {
-			return 0, fmt.Errorf("serve-repl %d: follower applied %d > acked %d", replicas, fs.AppliedOps, fs.AckedOps)
+		if fs.AppliedOps != fs.AckedOps {
+			return 0, fmt.Errorf("serve-repl %d: follower applied %d != acked %d after settle", replicas, fs.AppliedOps, fs.AckedOps)
 		}
+		applied += fs.AppliedOps
 		acked += fs.AckedOps
 	}
-	if ps.AckedOps > ps.StreamedOps {
-		return 0, fmt.Errorf("serve-repl %d: acked %d > streamed %d", replicas, ps.AckedOps, ps.StreamedOps)
+	if acked != ps.AckedOps || ps.AckedOps != ps.StreamedOps {
+		return 0, fmt.Errorf("serve-repl %d: after settle followers acked %d, primary acked %d, streamed %d (want all equal)",
+			replicas, acked, ps.AckedOps, ps.StreamedOps)
 	}
 	if replicas > 1 && ps.StreamedOps < uint64(replWriteOps) {
 		return 0, fmt.Errorf("serve-repl %d: only %d of %d writes streamed", replicas, ps.StreamedOps, replWriteOps)
 	}
 
-	// Read phase: closed-loop point lookups through the router.
+	// Read phase: closed-loop point lookups through the router. Each
+	// replica gets netMaxPending workers whose keys all lie in its
+	// range (RunClosed hands worker w the ops w, w+W, ..., and op i
+	// reads replica i mod R's range), so every node holds exactly its
+	// admission queue: every round is full, nothing sheds, and no
+	// generator CPU goes to shed round trips.
 	router, err := repl.NewRouter(addrs, 0, repl.RouterConfig{})
 	if err != nil {
 		return 0, err
 	}
 	defer router.Close()
-	stream := load.MixedOps(e.Keys, ops, 1, 0, o.Seed)
-	res := load.RunClosed(router, stream, load.Config{Workers: replWorkers})
+	stream := replReadStream(router, e.Keys, replicas,
+		max(ops, int(float64(replicas)*netCapacity()*replMinRun.Seconds())), o.Seed)
+	res := load.RunClosed(router, stream, load.Config{Workers: replicas * netMaxPending})
 	if res.Errors > 0 {
 		return 0, fmt.Errorf("serve-repl %d: %d hard errors", replicas, res.Errors)
 	}

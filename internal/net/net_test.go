@@ -274,32 +274,88 @@ func (e *mismatchErr) Error() string {
 }
 
 // TestCoalescing drives concurrent point Gets and asserts they were
-// actually coalesced: fewer GetBatch rounds than lookups, with a mean
-// batch size clearly above one.
+// actually coalesced, paced and self-clocked alike. Paced, rounds are
+// at most one per window, so the mean batch is clearly above one.
+// Self-clocked, a round takes only what is already queued, so the
+// claim is just fewer rounds than lookups.
 func TestCoalescing(t *testing.T) {
-	srv, _, keys, _ := newServed(t, 4000, Config{
-		CoalesceWindow: 200 * time.Microsecond,
-	})
-	pool, err := DialPool(srv.Addr().String(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	for _, window := range []time.Duration{200 * time.Microsecond, 0} {
+		t.Run(window.String(), func(t *testing.T) {
+			srv, _, keys, _ := newServed(t, 4000, Config{CoalesceWindow: window})
+			pool, err := DialPool(srv.Addr().String(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
 
-	ops := load.MixedOps(keys, 4000, 1, 0, 7)
-	res := load.RunClosed(pool, ops, load.Config{Workers: 8})
-	if res.Ops != len(ops) || res.Errors != 0 {
-		t.Fatalf("run degenerate: %+v", res)
+			ops := load.MixedOps(keys, 4000, 1, 0, 7)
+			res := load.RunClosed(pool, ops, load.Config{Workers: 8})
+			if res.Ops != len(ops) || res.Errors != 0 {
+				t.Fatalf("run degenerate: %+v", res)
+			}
+			s, err := pool.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.BatchedKeys != uint64(len(ops)) || s.Batches == 0 {
+				t.Fatalf("batched %d keys in %d rounds for %d lookups", s.BatchedKeys, s.Batches, len(ops))
+			}
+			if s.Batches >= s.BatchedKeys {
+				t.Fatalf("no coalescing: %d rounds for %d lookups", s.Batches, s.BatchedKeys)
+			}
+			mean := float64(s.BatchedKeys) / float64(s.Batches)
+			if window > 0 && mean < 2 {
+				t.Fatalf("mean coalesced batch %.2f < 2 (batches=%d keys=%d)", mean, s.Batches, s.BatchedKeys)
+			}
+		})
 	}
-	s, err := pool.Stats()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPacedRoundWaitsForTick pins the paced mode's contract with a
+// window no test outlives: a Get at an idle server is served at once,
+// the next waits for a tick that never comes, and Close interrupts that
+// wait and releases the queued Get's admission slot.
+func TestPacedRoundWaitsForTick(t *testing.T) {
+	srv, _, keys, _ := newServed(t, 1000, Config{CoalesceWindow: time.Hour})
+	c := dial(t, srv)
+
+	get := func(k core.Key) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := c.Get(k)
+			done <- err
+		}()
+		return done
 	}
-	if s.BatchedKeys == 0 || s.Batches == 0 {
-		t.Fatalf("no coalescing: %+v", s)
+	select {
+	case err := <-get(keys[0]):
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("first Get at an idle server was not served at once")
 	}
-	mean := float64(s.BatchedKeys) / float64(s.Batches)
-	if mean < 2 {
-		t.Fatalf("mean coalesced batch %.2f < 2 (batches=%d keys=%d)", mean, s.Batches, s.BatchedKeys)
+	second := get(keys[1])
+	select {
+	case err := <-second:
+		t.Fatalf("second Get answered inside the window (err %v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on the coalescer's tick wait")
+	}
+	if d := srv.Stats().QueueDepth; d != 0 {
+		t.Fatalf("queue depth %d after Close: an admitted slot leaked", d)
+	}
+	if err := <-second; err == nil {
+		t.Fatal("second Get succeeded after Close")
 	}
 }

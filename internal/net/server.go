@@ -16,11 +16,10 @@ import (
 
 // Server defaults; see Config.
 const (
-	DefaultCoalesceWindow = 100 * time.Microsecond
-	DefaultBatchCap       = 256
-	DefaultMaxPending     = 4096
-	DefaultMaxConns       = 1024
-	defaultOutBuffer      = 1024
+	DefaultBatchCap   = 256
+	DefaultMaxPending = 4096
+	DefaultMaxConns   = 1024
+	defaultOutBuffer  = 1024
 
 	// flushCap bounds the bytes a connection's writer gathers before it
 	// writes: room for hundreds of point responses per Write, while the
@@ -31,15 +30,15 @@ const (
 
 // Config configures a Server.
 type Config struct {
-	// CoalesceWindow is both the longest a point lookup waits for
-	// companions and the pacing floor between coalesced GetBatch
-	// rounds: a lookup arriving at an idle server is served
-	// immediately, but under sustained load rounds run at most once
-	// per window, so concurrent arrivals pile into one batch. With
-	// BatchCap it fixes the server's coalesced-read capacity at
-	// BatchCap/CoalesceWindow lookups per second — the measured
-	// capacity admission control defends. 0 defaults to
-	// DefaultCoalesceWindow.
+	// CoalesceWindow pins the server's coalesced-read capacity. 0 (the
+	// default) leaves the coalescer self-clocked: each round takes every
+	// point lookup already queued, so batches grow with load and no
+	// lookup waits for companions. A nonzero window gates each round on
+	// the next tick of a fixed ticker of that period, so under
+	// sustained load capacity is BatchCap/CoalesceWindow lookups per
+	// second — the known capacity admission control defends in tests
+	// and overload experiments. A lookup reaching a server idle for a
+	// window is still served at once.
 	CoalesceWindow time.Duration
 
 	// BatchCap is the largest coalesced GetBatch round. 0 defaults to
@@ -84,9 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CoalesceWindow <= 0 {
-		c.CoalesceWindow = DefaultCoalesceWindow
-	}
 	if c.BatchCap <= 0 {
 		c.BatchCap = DefaultBatchCap
 	}
@@ -127,8 +123,6 @@ type Server struct {
 	droppedConns atomic.Uint64
 	batches      atomic.Uint64
 	batchedKeys  atomic.Uint64
-	flushIdle    atomic.Uint64 // rounds flushed on the idle leading edge
-	flushTimer   atomic.Uint64 // rounds flushed by the window timer
 	flushFull    atomic.Uint64 // rounds that filled BatchCap
 	lat          stats.Histogram
 
@@ -193,8 +187,6 @@ func (s *Server) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("sosd_net_dropped_conns_total", cf(&s.droppedConns))
 	r.CounterFunc("sosd_net_batches_total", cf(&s.batches))
 	r.CounterFunc("sosd_net_batched_keys_total", cf(&s.batchedKeys))
-	r.CounterFunc("sosd_net_flush_idle_total", cf(&s.flushIdle))
-	r.CounterFunc("sosd_net_flush_timer_total", cf(&s.flushTimer))
 	r.CounterFunc("sosd_net_flush_full_total", cf(&s.flushFull))
 	r.GaugeFunc("sosd_net_conns", func() float64 { return float64(s.connCount.Load()) })
 	r.GaugeFunc("sosd_net_queue_depth", func() float64 {
@@ -315,50 +307,48 @@ func (s *Server) admit() bool {
 
 func (s *Server) release() { s.pending.Add(-1) }
 
-// coalescer owns the point-lookup queue: it batches concurrent Gets
-// into single store GetBatch rounds, immediately when the server has
-// been idle for a window, paced to one round per window under load.
-// Remainder past BatchCap stays queued for the next round — that
-// queue growing into MaxPending is what makes admission shed.
+// coalescer owns the point-lookup queue, with the same shape as a
+// connection's writer: it blocks for one Get, drains every Get already
+// queued behind it (up to BatchCap) without waiting for more, runs one
+// store GetBatchFound round, and loops. The channel is the queue:
+// whatever a round leaves behind is the next round's batch, and that
+// backlog growing into MaxPending is what makes admission shed. With a
+// CoalesceWindow each round then waits for the next tick of one fixed
+// ticker, which caps capacity at BatchCap per window on average.
 func (s *Server) coalescer() {
 	defer s.wg.Done()
-	var pend []getReq
+	defer s.drainQueue()
+	batch := make([]getReq, 0, s.cfg.BatchCap)
 	keys := make([]core.Key, 0, s.cfg.BatchCap)
 	vals := make([]uint64, s.cfg.BatchCap)
 	fbits := make([]bool, s.cfg.BatchCap)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	var tick <-chan time.Time
+	if s.cfg.CoalesceWindow > 0 {
+		t := time.NewTicker(s.cfg.CoalesceWindow)
+		defer t.Stop()
+		tick = t.C
 	}
-	timerArmed := false
-	var lastFlush time.Time // zero: first flush is unpaced
-
-	arm := func(d time.Duration) {
-		if timerArmed {
+	for {
+		select {
+		case <-s.stopC:
 			return
+		case g := <-s.getC:
+			g.sp.Mark(obs.PhaseQueueWait)
+			batch = append(batch, g)
 		}
-		if d < 0 {
-			d = 0
+	drain:
+		for len(batch) < s.cfg.BatchCap {
+			select {
+			case g := <-s.getC:
+				g.sp.Mark(obs.PhaseQueueWait)
+				batch = append(batch, g)
+			default:
+				break drain
+			}
 		}
-		timer.Reset(d)
-		timerArmed = true
-	}
-	flush := func(now time.Time, timerFired bool) {
-		n := len(pend)
-		if n > s.cfg.BatchCap {
-			n = s.cfg.BatchCap
-		}
-		// Classify the round for the coalescer counters: a round that
-		// fills its cap is batch-full regardless of what triggered it.
-		switch {
-		case n == s.cfg.BatchCap:
+		if len(batch) == s.cfg.BatchCap {
 			s.flushFull.Add(1)
-		case timerFired:
-			s.flushTimer.Add(1)
-		default:
-			s.flushIdle.Add(1)
 		}
-		batch := pend[:n]
 		keys = keys[:0]
 		for _, g := range batch {
 			keys = append(keys, g.key)
@@ -368,6 +358,7 @@ func (s *Server) coalescer() {
 		// shard snapshots as the batch (a zero payload is ambiguous in
 		// out alone), so a coalesced Get never observes a write that
 		// landed after its round.
+		n := len(batch)
 		s.st.GetBatchFound(keys, vals[:n], fbits[:n])
 		for i, g := range batch {
 			g.c.send(&Msg{Type: MsgValue, ID: g.id, Val: vals[i], Found: fbits[i]})
@@ -376,49 +367,28 @@ func (s *Server) coalescer() {
 		}
 		s.batches.Add(1)
 		s.batchedKeys.Add(uint64(n))
-		rest := copy(pend, pend[n:])
-		for i := rest; i < len(pend); i++ {
-			pend[i] = getReq{} // drop conn references
-		}
-		pend = pend[:rest]
-		lastFlush = now
-		if len(pend) > 0 {
-			arm(s.cfg.CoalesceWindow)
+		clear(batch) // drop conn references
+		batch = batch[:0]
+		if tick != nil {
+			select {
+			case <-tick:
+			case <-s.stopC:
+				return
+			}
 		}
 	}
+}
 
+// drainQueue releases the admission slot of every Get still queued
+// when the coalescer stops. Close has already severed every
+// connection, so none is answered.
+func (s *Server) drainQueue() {
 	for {
 		select {
-		case <-s.stopC:
-			// Connections are already severed by Close; just drain the
-			// queue so every admitted slot is released.
-			for _, g := range pend {
-				_ = g
-				s.release()
-			}
-			for {
-				select {
-				case <-s.getC:
-					s.release()
-				default:
-					timer.Stop()
-					return
-				}
-			}
-		case g := <-s.getC:
-			g.sp.Mark(obs.PhaseQueueWait)
-			pend = append(pend, g)
-			now := time.Now()
-			if now.Sub(lastFlush) >= s.cfg.CoalesceWindow {
-				flush(now, false)
-			} else {
-				arm(s.cfg.CoalesceWindow - now.Sub(lastFlush))
-			}
-		case now := <-timer.C:
-			timerArmed = false
-			if len(pend) > 0 {
-				flush(now, true)
-			}
+		case <-s.getC:
+			s.release()
+		default:
+			return
 		}
 	}
 }

@@ -110,7 +110,7 @@ type session struct {
 // PrimaryStats is a snapshot of the primary's stream accounting.
 type PrimaryStats struct {
 	Followers   int
-	StreamedOps uint64 // ops sent in wal-batch frames
+	StreamedOps uint64 // ops in wal-batch frames, counted just before each write
 	AckedOps    uint64 // ops followers confirmed received
 	SnapBytes   uint64 // snapshot bytes shipped during bootstraps
 	Bootstraps  uint64
@@ -462,16 +462,23 @@ func (s *session) stream(wbuf *bytes.Buffer) {
 				if len(ops) == 0 {
 					break
 				}
+				// Claim the batch before writing it: its ack can arrive
+				// as soon as the frame is out, and ackLoop credits acks
+				// only up to s.sent, so a claim made after the write could
+				// lose the final ack and leave WaitAcked waiting. The
+				// claim and streamedOps move together under s.mu, as
+				// ackLoop's credit does: once WaitAcked sees a session
+				// caught up, both totals count every op it covers.
+				s.mu.Lock()
+				s.sent[i] = from + uint64(len(ops))
+				p.streamedOps.Add(uint64(len(ops)))
+				s.mu.Unlock()
 				err := net.WriteMsg(s.nc, wbuf, &net.Msg{
 					Type: net.MsgWalBatch, Shard: uint32(i), Seq: from + 1, Ops: ops,
 				})
 				if err != nil {
 					return
 				}
-				s.mu.Lock()
-				s.sent[i] = from + uint64(len(ops))
-				s.mu.Unlock()
-				p.streamedOps.Add(uint64(len(ops)))
 				progress = true
 			}
 		}
@@ -518,10 +525,8 @@ func (s *session) ackLoop(br *bufio.Reader) {
 				s.acked[i] = q
 			}
 		}
+		p.ackedOps.Add(delta)
 		s.mu.Unlock()
-		if delta > 0 {
-			p.ackedOps.Add(delta)
-		}
 		p.mu.Lock()
 		p.ackCond.Broadcast()
 		p.mu.Unlock()

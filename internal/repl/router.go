@@ -191,6 +191,16 @@ func (r *Router) shardOf(key core.Key, seps []core.Key) int {
 	return i - 1
 }
 
+// NodeOf reports which replica is assigned the key's shard: an index
+// into the addresses NewRouter was given. Shards map to replicas in
+// contiguous bands, so NodeOf never decreases as the key grows. Reads
+// of a dead replica's keys go to the primary instead.
+func (r *Router) NodeOf(key core.Key) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.assign[r.shardOf(key, r.seps)]
+}
+
 // nodeFor picks the serving node for a shard under the read lock:
 // its assigned replica, or the primary when that replica is dead.
 func (r *Router) nodeFor(shard int) (*routerNode, *routerNode) {

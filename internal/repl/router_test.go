@@ -109,6 +109,21 @@ func TestRouterScatterGather(t *testing.T) {
 	}
 	defer r.Close()
 
+	// NodeOf bands the key space: non-decreasing in the key, and every
+	// replica owns a band.
+	prev, seen := 0, map[int]bool{}
+	for _, k := range keys {
+		n := r.NodeOf(k)
+		if n < prev {
+			t.Fatalf("NodeOf(%d) = %d after %d", k, n, prev)
+		}
+		prev = n
+		seen[n] = true
+	}
+	if len(seen) != len(tp.addrs) {
+		t.Fatalf("NodeOf covers %d of %d replicas", len(seen), len(tp.addrs))
+	}
+
 	// Writes route to the primary and replicate.
 	for i := 0; i < 300; i++ {
 		if err := r.TryPut(keys[i], uint64(i)+3e9); err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -308,13 +307,17 @@ func TestCompactionTrigger(t *testing.T) {
 	for i, k := range ins {
 		st.Put(k, uint64(i)+1)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for st.DeltaLen() >= 100 || st.Compactions() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never drained: delta=%d compactions=%d",
-				st.DeltaLen(), st.Compactions())
+	// The threshold is per shard: once the queued compactions finish,
+	// each shard holds fewer than 100 pending writes, though the two
+	// remainders together may exceed 100.
+	st.WaitCompactions()
+	if st.Compactions() == 0 {
+		t.Fatal("no background compaction fired past the threshold")
+	}
+	for i := range st.shards {
+		if n := st.shards[i].Load().deltaLen(); n >= 100 {
+			t.Fatalf("shard %d holds %d pending writes after compactions drained, threshold 100", i, n)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	// Every insert must have survived the merges.
 	for i, k := range ins {
